@@ -2,8 +2,9 @@
 # Tier-1 CI gate: static analysis first (fastest, and it proves graph/plan
 # invariants before anything executes), then the conformance/fault suites
 # (they guard the run-rule correctness the whole benchmark's credibility
-# rests on), then the optimizer/arena suites, then the full test suite,
-# then the executor and arena smoke benchmarks.
+# rests on), then the optimizer/arena suites, then the construction
+# byte-identity gates, then the full test suite, then the executor and
+# arena smoke benchmarks.
 # The smoke benchmark re-asserts plan-vs-legacy bit-exactness on INT8
 # MobileNetEdgeTPU and fails if the planned path loses its speedup.
 set -euo pipefail
@@ -34,6 +35,17 @@ python -m pytest -x -q tests/test_conformance.py tests/test_faults.py
 # model x four numerics, rewritten graph vs legacy interpreter) and the
 # arena-parity/PL007 layout checks must pass before the full suite runs
 python -m pytest -x -q tests/test_optimize.py tests/test_arena.py
+
+# byte-identity of model construction: the seed-0 golden digests of the
+# fitted v1.0 heads and the default-size vision datasets, then the oracles
+# that pin each optimized construction kernel to its direct formulation, so
+# a drift fails here under its own name before the full suite runs
+python -m pytest -x -q tests/test_golden_digests.py \
+    tests/test_kernels_misc.py::TestResizeOracle \
+    tests/test_kernels_misc.py::TestPadInputOracle \
+    tests/test_kernels_misc.py::TestInPlaceEpilogueOracle \
+    tests/test_pipelines.py::TestBatchedPreprocessOracle \
+    tests/test_synthdata.py::TestBlockedNoise
 
 python -m pytest -x -q tests
 python benchmarks/bench_executor.py --smoke

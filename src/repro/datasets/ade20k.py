@@ -43,12 +43,12 @@ class SyntheticADE20K(TaskDataset):
 
         # scenes at exact network resolution keep labels pixel-aligned
         raws, labels = segmentation_scene_batch(size, input_size, num_classes, seed)
-        inputs = np.stack([dense_preprocess(im, input_size) for im in raws]).astype(np.float32)
+        inputs = dense_preprocess(raws, input_size)
 
         cal_raws, _ = segmentation_scene_batch(
             calibration_size, input_size, num_classes, seed + 10_000
         )
-        cal_inputs = np.stack([dense_preprocess(im, input_size) for im in cal_raws]).astype(np.float32)
+        cal_inputs = dense_preprocess(cal_raws, input_size)
         return cls(inputs, labels, cal_inputs, num_classes)
 
     def __len__(self) -> int:

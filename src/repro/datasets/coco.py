@@ -45,7 +45,7 @@ class SyntheticCOCO(TaskDataset):
         num_classes = model_config["num_classes"]
 
         raws, objects = detection_scene_batch(size, input_size + 16, num_classes, seed)
-        inputs = np.stack([dense_preprocess(im, input_size) for im in raws]).astype(np.float32)
+        inputs = dense_preprocess(raws, input_size)
         truths = [
             [GroundTruthBox(o.box, o.class_id) for o in objs] for objs in objects
         ]
@@ -53,7 +53,7 @@ class SyntheticCOCO(TaskDataset):
         cal_raws, _ = detection_scene_batch(
             calibration_size, input_size + 16, num_classes, seed + 10_000
         )
-        cal_inputs = np.stack([dense_preprocess(im, input_size) for im in cal_raws]).astype(np.float32)
+        cal_inputs = dense_preprocess(cal_raws, input_size)
         anchors = anchors_for_model(model_config)
         config = dict(model_config)
         config["score_threshold"] = score_threshold

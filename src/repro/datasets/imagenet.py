@@ -48,13 +48,13 @@ class SyntheticImageNet(TaskDataset):
         raws, labels = classification_scene_batch(
             size, raw_size, num_classes, seed, signal=signal, noise=noise
         )
-        inputs = np.stack([classification_preprocess(im, input_size) for im in raws])
+        inputs = classification_preprocess(raws, input_size)
 
         cal_raws, _ = classification_scene_batch(
             calibration_size, raw_size, num_classes, seed + 10_000, signal=signal, noise=noise
         )
-        cal_inputs = np.stack([classification_preprocess(im, input_size) for im in cal_raws])
-        return cls(inputs.astype(np.float32), labels, cal_inputs.astype(np.float32))
+        cal_inputs = classification_preprocess(cal_raws, input_size)
+        return cls(inputs, labels, cal_inputs)
 
     def __len__(self) -> int:
         return len(self.labels)

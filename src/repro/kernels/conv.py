@@ -78,9 +78,22 @@ def conv_output_shape(
 def pad_input(
     x: np.ndarray, pads_h: tuple[int, int], pads_w: tuple[int, int], value: float = 0.0
 ) -> np.ndarray:
+    """Constant spatial padding of NHWC ``x``; equals ``np.pad(..., constant_values=value)``.
+
+    Writes the interior and the four border strips into one preallocated
+    buffer (``value`` is cast to ``x.dtype`` exactly as ``np.pad`` casts it).
+    """
     if pads_h == (0, 0) and pads_w == (0, 0):
         return x
-    return np.pad(x, ((0, 0), pads_h, pads_w, (0, 0)), constant_values=value)
+    n, h, w, c = x.shape
+    (top, bottom), (left, right) = pads_h, pads_w
+    out = np.empty((n, top + h + bottom, left + w + right, c), dtype=x.dtype)
+    out[:, :top] = value
+    out[:, top + h :] = value
+    out[:, top : top + h, :left] = value
+    out[:, top : top + h, left + w :] = value
+    out[:, top : top + h, left : left + w] = x
+    return out
 
 
 def im2col(
@@ -145,9 +158,10 @@ def conv2d_prepacked(
 ) -> np.ndarray:
     """Float convolution against prepacked constants; bit-exact with :func:`conv2d`.
 
-    ``out``, when given, must be a float32 (N, out_h, out_w, Cout) buffer; the
-    matmul and bias add write into it directly (arena execution) and it is
-    returned. A 1x1/stride-1 convolution skips padding and im2col entirely:
+    The matmul writes straight into ``out`` and the bias add runs in place
+    there; ``out``, when given, must be a float32 (N, out_h, out_w, Cout)
+    buffer (arena execution), otherwise one is allocated. It is returned.
+    A 1x1/stride-1 convolution skips padding and im2col entirely:
     the input *is* the patch matrix, so the BLAS call sees the identical
     operand without materializing a copy.
     """
@@ -165,11 +179,7 @@ def conv2d_prepacked(
             -1, pack.k_h * pack.k_w * c_in
         )
     if out is None:
-        res = cols @ pack.w_mat
-        res = res.reshape(n, out_h, out_w, pack.c_out)
-        if pack.bias is not None:
-            res = res + pack.bias
-        return res.astype(np.float32)
+        out = np.empty((n, out_h, out_w, pack.c_out), dtype=np.float32)
     np.matmul(cols, pack.w_mat, out=out.reshape(-1, pack.c_out))
     if pack.bias is not None:
         np.add(out, pack.bias, out=out)
@@ -227,11 +237,8 @@ def depthwise_conv2d_prepacked(
     xp = pad_input(np.ascontiguousarray(x, dtype=np.float32), pads_h, pads_w)
     patches = _dw_patches(xp, pack.k_h, pack.k_w, stride, out_h, out_w)
     if out is None:
-        # einsum over the kernel window, per channel
-        res = np.einsum("nhwklc,klc->nhwc", patches, pack.w)
-        if pack.bias is not None:
-            res = res + pack.bias
-        return res.astype(np.float32)
+        out = np.empty((n, out_h, out_w, c), dtype=np.float32)
+    # einsum over the kernel window, per channel
     np.einsum("nhwklc,klc->nhwc", patches, pack.w, out=out)
     if pack.bias is not None:
         np.add(out, pack.bias, out=out)

@@ -21,9 +21,22 @@ def batch_norm(
     beta: np.ndarray,
     eps: float = 1e-3,
 ) -> np.ndarray:
-    """Inference-time batch norm over the channel (last) axis."""
+    """Inference-time batch norm over the channel (last) axis.
+
+    Evaluates ``((x - mean) * inv + beta)`` with NumPy's usual promotion at
+    each step, but writes each step into the previous temporary whenever
+    that keeps the promoted dtype (a float64 parameter still widens the
+    intermediate instead of being narrowed into a float32 buffer).
+    """
     inv = gamma / np.sqrt(variance + eps)
-    return ((x - mean) * inv + beta).astype(np.float32)
+    y = _inplace(np.multiply, x - mean, inv)
+    y = _inplace(np.add, y, beta)
+    return y.astype(np.float32, copy=False)
+
+
+def _inplace(ufunc: np.ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)``, into ``a`` when the promoted dtype is ``a``'s own."""
+    return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -105,12 +105,12 @@ def fit_classification_head(
         train_samples, int(cfg["input_size"] * 256 / 224) + 8, cfg["num_classes"], seed,
         signal=signal, noise=noise,
     )
-    inputs = np.stack([classification_preprocess(im, cfg["input_size"]) for im in raws])
+    inputs = classification_preprocess(raws, cfg["input_size"])
     # BN statistics must match the data distribution the model will see
-    calibrate_batch_norms(graph, {"images": inputs[:64].astype(np.float32)})
+    calibrate_batch_norms(graph, {"images": inputs[:64]})
     head_op = next(op for op in graph.ops if op.name == "classifier")
     feat_tensor = head_op.inputs[0]
-    feats = capture_tensors(graph, _batched(inputs.astype(np.float32), 64), [feat_tensor])[feat_tensor]
+    feats = capture_tensors(graph, _batched(inputs, 64), [feat_tensor])[feat_tensor]
     onehot = np.full((train_samples, cfg["num_classes"]), -logit_scale / 2, dtype=np.float64)
     onehot[np.arange(train_samples), labels] = logit_scale / 2
     w, b = ridge_fit(feats, onehot, l2)
@@ -142,7 +142,7 @@ def fit_detection_heads(
     a_per_cell = cfg["anchors_per_cell"]
     anchors = anchors_for_model(cfg)
     raws, truths = detection_scene_batch(train_samples, size + 16, num_classes, seed)
-    inputs = np.stack([dense_preprocess(im, size) for im in raws]).astype(np.float32)
+    inputs = dense_preprocess(raws, size)
     calibrate_batch_norms(graph, {"images": inputs[:48]})
 
     # per-anchor match against ground truth (anchor-major layout matches heads)
@@ -162,12 +162,12 @@ def fit_detection_heads(
         best_gt = ious.argmax(axis=1)
         hit = ious.max(axis=1) >= match_iou
         hit[ious.argmax(axis=0)] = True  # force-match the best anchor per object
-        for a in np.flatnonzero(hit):
-            g = best_gt[a]
-            cls_targets[i, a, objs[g].class_id] = logit_scale / 2
-            box_targets[i, a] = encode_boxes(gt[g : g + 1], anchors[a : a + 1],
-                                             cfg["box_variances"])[0]
-            matched[i, a] = True
+        a = np.flatnonzero(hit)
+        g = best_gt[a]
+        class_ids = np.asarray([o.class_id for o in objs])
+        cls_targets[i, a, class_ids[g]] = logit_scale / 2
+        box_targets[i, a] = encode_boxes(gt[g], anchors[a], cfg["box_variances"])
+        matched[i, a] = True
 
     head_inputs = []
     for j in range(len(cfg["feature_shapes"])):
@@ -221,7 +221,7 @@ def fit_segmentation_head(
     # scenes are generated at the exact network resolution so the dense label
     # map stays pixel-aligned with the (no-op) resize in dense_preprocess
     raws, labels = segmentation_scene_batch(train_samples, size, num_classes, seed)
-    inputs = np.stack([dense_preprocess(im, size) for im in raws]).astype(np.float32)
+    inputs = dense_preprocess(raws, size)
     calibrate_batch_norms(graph, {"images": inputs[:32]})
 
     head_op = next(op for op in graph.ops if op.name == "classifier")

@@ -178,7 +178,8 @@ def model_card(name: str) -> dict:
     """Structural summary: params/MACs at both profiles, Table 1 metadata."""
     entry = _entry(name)
     full = create_full_model(name)
-    ref = create_reference_model(name)
+    # head fitting changes parameter values, never the counts reported here
+    ref = create_reference_model(name, fitted=False)
     return {
         "name": name,
         "task": entry.task,

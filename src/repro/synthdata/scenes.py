@@ -83,11 +83,12 @@ def _separated_colors(k: int, channels: int, rng: np.random.Generator) -> np.nda
     """
     candidates = rng.uniform(-1.3, 1.3, size=(max(64, 8 * k), channels)).astype(np.float32)
     chosen = [candidates[0]]
+    # distance to the nearest chosen cast, updated with each new pick (a min
+    # is exact, so this equals recomputing it over every chosen cast)
+    d = np.linalg.norm(candidates - chosen[0], axis=-1)
     for _ in range(k - 1):
-        d = np.min(
-            np.linalg.norm(candidates[:, None] - np.asarray(chosen)[None], axis=-1), axis=1
-        )
         chosen.append(candidates[int(d.argmax())])
+        np.minimum(d, np.linalg.norm(candidates - chosen[-1], axis=-1), out=d)
     return np.asarray(chosen, dtype=np.float32)
 
 
@@ -99,6 +100,28 @@ def _to_uint8(field: np.ndarray) -> np.ndarray:
     real photographs keep object appearance independent of scene composition.
     """
     return np.clip(field * 48.0 + 128.0, 0.0, 255.0).astype(np.uint8)
+
+
+# pixel values per block of the noise / uint8 pass: the float64 noise draw
+# and the mapping temporaries stay cache-sized instead of batch-sized
+_BLOCK_ELEMS = 1 << 16
+
+
+def _noisy_uint8(rng: np.random.Generator, fields: np.ndarray, sigma: float = 0.15) -> np.ndarray:
+    """``_to_uint8(fields + N(0, sigma))``, computed in sample blocks.
+
+    Generator draws are sequential, so drawing the noise block by block
+    yields exactly the values of one ``rng.normal`` over the whole batch and
+    leaves the generator in the same state. ``fields`` is consumed (the
+    noise is added in place).
+    """
+    out = np.empty(fields.shape, dtype=np.uint8)
+    block = max(1, _BLOCK_ELEMS // max(1, int(np.prod(fields.shape[1:]))))
+    for s in range(0, len(fields), block):
+        f = fields[s : s + block]
+        f += rng.normal(0, sigma, size=f.shape).astype(np.float32)
+        out[s : s + block] = _to_uint8(f)
+    return out
 
 
 def classification_scene_batch(
@@ -125,9 +148,12 @@ def classification_scene_batch(
         texture_scale=1.0, color_scale=0.5, freq_range=(2.0, 10.0),
     )
     labels = rng.integers(0, num_classes, size=n)
-    fields = signal * protos[labels] + noise * smooth_field(rng, n, size, size)
-    fields += rng.normal(0, 0.15, size=fields.shape).astype(np.float32)
-    return _to_uint8(fields), labels.astype(np.int64)
+    fields = protos[labels]
+    fields *= signal
+    texture = smooth_field(rng, n, size, size)
+    texture *= noise
+    fields += texture
+    return _noisy_uint8(rng, fields), labels.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -161,7 +187,6 @@ def detection_scene_batch(
     protos = class_prototypes(num_classes, size, size, prototype_seed)
     images = smooth_field(rng, n, size, size)
     truths: list[list[DetectionObject]] = []
-    ys, xs = np.mgrid[0:size, 0:size]
     for i in range(n):
         objects: list[DetectionObject] = []
         for _ in range(int(rng.integers(1, max_objects + 1))):
@@ -174,12 +199,14 @@ def detection_scene_batch(
             c = int(rng.integers(1, num_classes))
             y0, y1 = int((cy - h / 2) * size), int((cy + h / 2) * size)
             x0, x1 = int((cx - w / 2) * size), int((cx + w / 2) * size)
-            mask = (ys >= y0) & (ys < y1) & (xs >= x0) & (xs < x1)
-            images[i][mask] = images[i][mask] * 0.3 + signal * protos[c][mask]
+            # the pixel rectangle [y0, y1) x [x0, x1); cy >= h/2 and cx >= w/2
+            # keep every bound >= 0, and slicing clips the far edges
+            region = images[i, y0:y1, x0:x1]
+            np.multiply(region, 0.3, out=region)
+            np.add(region, signal * protos[c, y0:y1, x0:x1], out=region)
             objects.append(DetectionObject((cy - h / 2, cx - w / 2, cy + h / 2, cx + w / 2), c))
         truths.append(objects)
-    images += rng.normal(0, 0.15, size=images.shape).astype(np.float32)
-    return _to_uint8(images), truths
+    return _noisy_uint8(rng, images), truths
 
 
 def segmentation_scene_batch(
@@ -211,11 +238,10 @@ def segmentation_scene_batch(
         region_classes[is_other] = num_classes - 1
         label = region_classes[region_of_pixel]
         labels[i] = label
-        images[i] = images[i] * 0.4 + signal * np.take_along_axis(
-            protos, label[None, ..., None], axis=0
-        )[0]
-    images += rng.normal(0, 0.15, size=images.shape).astype(np.float32)
-    return _to_uint8(images), labels
+        image = images[i]
+        np.multiply(image, 0.4, out=image)
+        np.add(image, signal * protos[label, ys, xs], out=image)
+    return _noisy_uint8(rng, images), labels
 
 
 def token_sequence_batch(

@@ -153,3 +153,21 @@ class TestModelCard:
         assert card["dataset"] == "ade20k"
         assert card["full"]["macs_per_sample"] > card["reference"]["macs_per_sample"]
         assert card["paper_params"] == "2M"
+
+    @pytest.mark.parametrize("name", ["mobilenet_edgetpu", "mobiledet_ssd", "deeplab_v3plus"])
+    def test_card_reference_counts_match_fitted_model(self, name):
+        fitted = create_reference_model(name)
+        assert model_card(name)["reference"] == {
+            "params": fitted.graph.num_parameters,
+            "macs_per_sample": fitted.graph.total_macs,
+            "input_shape": fitted.input_shape,
+        }
+
+    def test_card_fits_no_heads(self, monkeypatch):
+        import repro.models.fitting as fitting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("model_card must not fit reference heads")
+
+        monkeypatch.setattr(fitting, "fit_reference_heads", refuse)
+        assert model_card("mobilenet_edgetpu")["reference"]["params"] > 0

@@ -60,6 +60,31 @@ class TestPreprocess:
         assert mask2.sum() == 8 and ids2[-1] == 8
 
 
+class TestBatchedPreprocessOracle:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_batched_preprocess_equals_stacked(self, rng, dtype, n):
+        # one NHWC call must be bit-identical to per-image calls stacked
+        raws = rng.integers(0, 256, (n, 54, 54, 3)).astype(dtype)
+        for fn, size in ((classification_preprocess, 40), (dense_preprocess, 48),
+                         (dense_preprocess, 54)):
+            batched = fn(raws, size)
+            stacked = np.stack([fn(im, size) for im in raws])
+            assert batched.dtype == stacked.dtype == np.float32
+            assert batched.tobytes() == stacked.tobytes()
+
+    def test_batched_resize_and_crop(self, rng):
+        raws = rng.integers(0, 256, (4, 20, 24, 3)).astype(np.uint8)
+        np.testing.assert_array_equal(
+            resize_image(raws, 9, 11), np.stack([resize_image(im, 9, 11) for im in raws])
+        )
+        np.testing.assert_array_equal(
+            center_crop(raws, 6, 8), np.stack([center_crop(im, 6, 8) for im in raws])
+        )
+        with pytest.raises(ValueError):
+            center_crop(raws, 21, 8)
+
+
 class TestAnchors:
     def test_counts(self):
         anchors = generate_ssd_anchors([(4, 4), (2, 2)], aspect_ratios=(1.0, 2.0, 0.5))

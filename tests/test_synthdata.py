@@ -130,3 +130,19 @@ class TestSmoothField:
         # neighbouring pixels correlate strongly vs white noise
         diff = np.abs(np.diff(field[0], axis=0)).mean()
         assert diff < field[0].std()
+
+
+class TestBlockedNoise:
+    @pytest.mark.parametrize("n", [1, 3, 4, 7])
+    def test_block_draws_equal_one_shot_draw(self, n):
+        from repro.synthdata.scenes import _BLOCK_ELEMS, _noisy_uint8, _to_uint8
+
+        # 80x80x3 pixels per sample puts the block boundary at 3 samples
+        assert _BLOCK_ELEMS // (80 * 80 * 3) == 3
+        fields = np.random.default_rng(n).normal(0, 1, (n, 80, 80, 3)).astype(np.float32)
+        one_shot, blocked = np.random.default_rng(99), np.random.default_rng(99)
+        want = _to_uint8(fields + one_shot.normal(0, 0.15, size=fields.shape).astype(np.float32))
+        got = _noisy_uint8(blocked, fields.copy())
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+        # the generator is left exactly where the one-shot draw leaves it
+        assert blocked.bit_generator.state == one_shot.bit_generator.state
