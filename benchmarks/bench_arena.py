@@ -6,7 +6,7 @@ zoo models through two plan paths:
 
 1. ``planned`` — the compiled :class:`ExecutionPlan` (PR-1 path): prepacked
    kernels, liveness release, but a fresh output allocation per op;
-2. ``arena``   — :meth:`ExecutionPlan.run_arena` steady state: every managed
+2. ``arena``   — :meth:`ExecutionPlan.run_arena`: every managed
    intermediate written in place into the static memory arena, zero
    transient output allocations.
 
@@ -57,7 +57,7 @@ def _time_paths(paths, pool, queries: int, rounds: int = 4) -> list[float]:
     """Time each path in interleaved rounds so clock drift and cache state
     cancel out instead of biasing whichever path runs last."""
     for fn in paths:
-        fn(pool[0])  # warm-up: compile/record outside the timed window
+        fn(pool[0])  # warm-up: build the arena outside the timed window
     per_round = max(1, queries // rounds)
     totals = [0.0] * len(paths)
     for _ in range(rounds):
@@ -78,7 +78,7 @@ def bench_model(name: str, queries: int, check: bool) -> dict:
         for feed in pool[:2]:
             legacy = executor.run_unplanned(feed)
             arena = plan.run_arena(feed)
-            again = plan.run_arena(feed)  # steady state reuses the buffers
+            again = plan.run_arena(feed)  # the second call reuses the buffers
             for out in legacy:
                 for got in (arena, again):
                     if not np.array_equal(legacy[out], got[out]):
@@ -109,7 +109,6 @@ def bench_model(name: str, queries: int, check: bool) -> dict:
             "managed_tensors": len(layout.slots),
             "arena": layout.describe(),
         },
-        "optimize": plan.optimize_stats,
     }
 
 

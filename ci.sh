@@ -2,7 +2,7 @@
 # Tier-1 CI gate: static analysis first (fastest, and it proves graph/plan
 # invariants before anything executes), then the conformance/fault suites
 # (they guard the run-rule correctness the whole benchmark's credibility
-# rests on), then the optimizer/arena suites, then the construction
+# rests on), then the plan/arena equivalence suites, then the construction
 # byte-identity gates, then the full test suite, then the executor and
 # arena smoke benchmarks.
 # The smoke benchmark re-asserts plan-vs-legacy bit-exactness on INT8
@@ -31,10 +31,11 @@ python -m repro.staticcheck --ranges --baseline tools/ranges_baseline.json \
 
 python -m pytest -x -q tests/test_conformance.py tests/test_faults.py
 
-# graph optimizer + arena: the zoo-wide optimize-equivalence sweep (every
-# model x four numerics, rewritten graph vs legacy interpreter) and the
-# arena-parity/PL007 layout checks must pass before the full suite runs
-python -m pytest -x -q tests/test_optimize.py tests/test_arena.py
+# plan + arena: the zoo-wide bit-exactness sweep (every model x four
+# numerics, planned and arena execution vs the legacy interpreter, the alias
+# rule and the static layout against what executes) and the arena-parity/
+# PL007 layout checks must pass before the full suite runs
+python -m pytest -x -q tests/test_plan.py::TestBitExactness tests/test_arena.py
 
 # byte-identity of model construction: the seed-0 golden digests of the
 # fitted v1.0 heads and the default-size vision datasets, then the oracles

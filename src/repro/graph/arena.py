@@ -48,10 +48,11 @@ __all__ = [
 ARENA_ALIGNMENT = 64  # bytes; cache-line alignment, matching TFLite's default
 
 # Op types whose output may be a *view* of their input (zero-copy data
-# movement). An aliased tensor keeps its source's bytes live: the source's
-# interval must extend through every alias's last read, and a source whose
-# alias escapes as a graph output cannot be arena-managed at all (the result
-# would be clobbered by the next inference).
+# movement) — the one alias rule; every other op's outputs own their bytes.
+# An aliased tensor keeps its source's bytes live: the source's interval must
+# extend through every alias's last read, and a source whose alias escapes as
+# a graph output cannot be arena-managed at all (the result would be
+# clobbered by the next inference).
 ALIAS_OP_TYPES = frozenset({"reshape"})
 
 
@@ -196,17 +197,15 @@ def alias_roots(steps) -> dict[str, str]:
     return root
 
 
-def effective_liveness(
-    steps, output_names, root: dict[str, str] | None = None
-) -> tuple[dict[str, int], set[str]]:
+def effective_liveness(steps, output_names) -> tuple[dict[str, int], set[str]]:
     """Per-tensor last-read step, with alias lifetimes folded into roots.
 
     Returns ``(last_use, escaped)``: ``last_use[t]`` is the last step index
-    reading ``t`` or any alias of it; ``escaped`` holds roots whose alias
-    chain reaches a graph output (those tensors must not live in the arena).
+    reading ``t`` or any alias of it (aliases per :func:`alias_roots`);
+    ``escaped`` holds roots whose alias chain reaches a graph output (those
+    tensors must not live in the arena).
     """
-    if root is None:
-        root = alias_roots(steps)
+    root = alias_roots(steps)
     last_use: dict[str, int] = {}
     for i, step in enumerate(steps):
         for t in step.inputs:
@@ -225,18 +224,18 @@ def plan_arena(plan, batch: int = 1) -> ArenaLayout:
     """Static layout of a plan's arena-managed tensors, from specs alone.
 
     Managed tensors are the outputs of single-output steps that compile an
-    ``out=``-capable kernel (``fn_out``), excluding graph outputs (results
-    must survive into the caller) and tensors whose bytes escape through a
-    view-producing alias chain. The runtime layout built on first execution
-    places the same set — this function exists so ``describe()`` and the
-    PL007 cross-check need no execution.
+    ``out=``-capable kernel (``PlannedStep.arena``), excluding graph outputs
+    (results must survive into the caller) and tensors whose bytes escape
+    through a view-producing alias chain. This is the one layout: it is what
+    :meth:`~repro.graph.plan.ExecutionPlan.run_arena` executes, what
+    ``describe()`` reports and what PL007 cross-checks.
     """
     graph = plan.graph
     records = []
     last_use, escaped = effective_liveness(plan._steps, graph.output_names)
     outputs = set(graph.output_names)
     for i, step in enumerate(plan._steps):
-        if getattr(step, "fn_out", None) is None or len(step.outputs) != 1:
+        if not step.arena or len(step.outputs) != 1:
             continue
         t = step.outputs[0]
         if t in outputs or t in escaped or t not in last_use:

@@ -60,7 +60,7 @@ class Executor:
         profiler: ExecutionProfiler | None = None,
     ) -> dict[str, np.ndarray]:
         """Execute through the plan's static memory arena (bit-identical to
-        :meth:`run`; zero transient output allocations once warmed up)."""
+        :meth:`run`; zero transient output allocations for managed ops)."""
         return self.plan.run_arena(feeds, profiler=profiler)
 
     def run_unplanned(

@@ -8,16 +8,20 @@ weight tensors on every call, activation LUTs were rebuilt per op call, and
 the environment retained every intermediate for the whole pass.
 
 An :class:`ExecutionPlan` is compiled once per ``(graph, numerics)`` and
-caches three things:
+caches four things:
 
 1. **Prepacked constants** — weight matrices, zero-point column sums,
    effective scales, widened biases and activation LUTs, via the kernel-level
    prepack API (:mod:`repro.kernels.conv`, :mod:`repro.kernels.linear`).
-2. **Dispatch** — each op is bound to a prepared closure, so the per-query
-   loop is a flat list of calls with no attribute/spec lookups.
+2. **Dispatch** — each op is bound to one prepared closure
+   ``fn(ins, out=None)``, so the per-query loop is a flat list of calls with
+   no attribute/spec lookups.
 3. **Tensor liveness** — each intermediate is released from the environment
    right after its last consumer runs, so peak live activation bytes track
    the true working set instead of the whole activation footprint.
+4. **One static arena layout** per batch size (:func:`repro.graph.arena.plan_arena`),
+   derived from the graph alone; :meth:`ExecutionPlan.run_arena` writes every
+   managed intermediate into it.
 
 Plans are bit-exact with the legacy interpreter (``Executor.run_unplanned``)
 in all four numerics modes: the prepacked kernels perform the identical
@@ -35,7 +39,7 @@ import numpy as np
 
 from .. import kernels as K
 from ..kernels.numerics import Numerics, cast_fp16, dequantize, quantize
-from .arena import ArenaLayout, TensorRecord, effective_liveness, plan_arena, plan_layout
+from .arena import ArenaLayout, _spec_dtype, plan_arena
 from .graph import Graph
 from .ops import (
     ACTIVATION_FUNCTIONS,
@@ -46,7 +50,6 @@ from .ops import (
     FullyConnected,
     Op,
 )
-from .optimize import optimize_graph
 from .profiler import ExecutionProfiler
 
 __all__ = ["ExecutionPlan", "PlannedStep"]
@@ -65,27 +68,41 @@ def _graph_fingerprint(graph: Graph) -> tuple:
 
     Model fitting, cross-layer equalization and bias correction all *replace*
     parameter arrays on an already-executed graph, so a cached plan keyed on
-    graph identity alone would serve stale prepacked constants. Array object
-    ids (plus op count and numerics) catch every such replacement without
-    hashing any data.
+    graph identity alone would serve stale prepacked constants. The
+    fingerprint keeps weak references to the parameter arrays (plus op count
+    and numerics), which :func:`_fingerprint_matches` compares by identity.
+    Bare ``id()``s are not enough: a replaced array's id can be reused by a
+    later one. Strong references would keep every replaced array alive.
     """
     return (
         graph.numerics,
         graph.frozen,
         len(graph.ops),
-        tuple(map(id, graph.params.values())),
+        tuple(None if a is None else weakref.ref(a) for a in graph.params.values()),
+    )
+
+
+def _fingerprint_matches(fingerprint: tuple, graph: Graph) -> bool:
+    refs = fingerprint[3]
+    return (
+        fingerprint[:3] == (graph.numerics, graph.frozen, len(graph.ops))
+        and len(refs) == len(graph.params)
+        and all(
+            (None if r is None else r()) is a for r, a in zip(refs, graph.params.values())
+        )
     )
 
 
 class PlannedStep:
     """One prepared op call: bound kernel closure plus liveness bookkeeping.
 
-    ``fn_out``, when not None, performs the identical computation as ``fn``
-    but writes the (single) output into a caller-provided buffer — the hook
-    arena execution dispatches through so the hot path allocates nothing.
+    ``fn(ins, out=None)`` returns the op's outputs. ``arena`` marks steps
+    whose single output the kernel can write into a caller-provided ``out``
+    buffer (fused epilogues then run in place there); only those steps'
+    outputs are placed in the static arena.
     """
 
-    __slots__ = ("name", "op_type", "inputs", "outputs", "fn", "fn_out", "release", "prepacked")
+    __slots__ = ("name", "op_type", "inputs", "outputs", "fn", "arena", "release", "prepacked")
 
     def __init__(
         self,
@@ -93,16 +110,16 @@ class PlannedStep:
         op_type: str,
         inputs: tuple[str, ...],
         outputs: tuple[str, ...],
-        fn: Callable[[list[np.ndarray]], list[np.ndarray]],
+        fn: Callable[..., list[np.ndarray]],
         prepacked: bool,
-        fn_out: Callable[[list[np.ndarray], np.ndarray], None] | None = None,
+        arena: bool,
     ):
         self.name = name
         self.op_type = op_type
         self.inputs = inputs
         self.outputs = outputs
         self.fn = fn
-        self.fn_out = fn_out
+        self.arena = arena
         self.release: tuple[str, ...] = ()
         self.prepacked = prepacked
 
@@ -112,35 +129,13 @@ class PlannedStep:
 
 
 class ExecutionPlan:
-    """A compiled, reusable execution schedule for one materialized graph.
+    """A compiled, reusable execution schedule for one materialized graph."""
 
-    ``liveness=False`` keeps every intermediate resident (the legacy
-    behaviour); it exists so the memory benefit can be measured and tested.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        *,
-        liveness: bool = True,
-        optimize: bool = True,
-        passes: tuple[str, ...] | list[str] | None = None,
-    ):
+    def __init__(self, graph: Graph):
         if graph.is_symbolic:
             raise ValueError(f"graph {graph.name!r} is symbolic and cannot execute")
-        self.source_graph = graph
         self.graph = graph
-        self.optimize_stats: dict = {"passes": {}, "total": 0}
-        if optimize:
-            optimized = optimize_graph(graph, passes)
-            self.optimize_stats = optimized.metadata["optimize"]
-            if self.optimize_stats["total"] > 0:
-                # only swap in the rewritten clone when something changed, so
-                # unrewritable graphs compile the exact same plan as before
-                self.graph = optimized
         self.numerics = graph.numerics
-        self.liveness = liveness
-        self._observer_plan: "ExecutionPlan | None" = None
         self._arena_lock = threading.Lock()
         self._arena_states: dict[tuple, _ArenaState] = {}
         self._static_arena: ArenaLayout | None = None
@@ -149,12 +144,11 @@ class ExecutionPlan:
     @classmethod
     def for_graph(cls, graph: Graph) -> "ExecutionPlan":
         """Shared per-graph plan (weakly cached; recompiled if the graph mutated)."""
-        fingerprint = _graph_fingerprint(graph)
         cached = _PLAN_CACHE.get(graph)
-        if cached is not None and cached[0] == fingerprint:
+        if cached is not None and _fingerprint_matches(cached[0], graph):
             return cached[1]
         plan = cls(graph)
-        _PLAN_CACHE[graph] = (fingerprint, plan)
+        _PLAN_CACHE[graph] = (_graph_fingerprint(graph), plan)
         return plan
 
     # -- compilation --------------------------------------------------------
@@ -169,45 +163,44 @@ class ExecutionPlan:
 
         steps: list[PlannedStep] = []
         for op in g.ops:
-            fn, prepacked, fn_out = self._bind(op)
+            fn, prepacked, arena = self._bind(op)
             if self.numerics == Numerics.FP16:
-                fn = _fp16_wrap(fn)
-                fn_out = None  # per-op half rounding is incompatible with in-place writes
+                # per-op half rounding allocates, so nothing can be written in place
+                fn, arena = _fp16_wrap(fn), False
             steps.append(
                 PlannedStep(
                     op.name, op.op_type, tuple(op.inputs), tuple(op.outputs), fn, prepacked,
-                    fn_out,
+                    arena,
                 )
             )
         self._steps = steps
+        self._no_views: list[np.ndarray | None] = [None] * len(steps)
 
-        if self.liveness:
-            protected = set(g.output_names)
-            last_use: dict[str, int] = {}
-            for i, step in enumerate(steps):
-                for t in step.inputs:
-                    last_use[t] = i
-            for i, step in enumerate(steps):
-                step.release = tuple(
-                    sorted({t for t in step.inputs if last_use[t] == i and t not in protected})
-                )
+        protected = set(g.output_names)
+        last_use: dict[str, int] = {}
+        for i, step in enumerate(steps):
+            for t in step.inputs:
+                last_use[t] = i
+        for i, step in enumerate(steps):
+            step.release = tuple(
+                sorted({t for t in step.inputs if last_use[t] == i and t not in protected})
+            )
 
-    def _bind(self, op: Op) -> tuple[Callable, bool, Callable | None]:
-        """Bind ``op`` to a prepared closure (and out-buffer variant) for this
-        plan's numerics."""
+    def _bind(self, op: Op) -> tuple[Callable, bool, bool]:
+        """Bind ``op`` to ``(fn, prepacked, arena)`` for this plan's numerics."""
         if self.numerics.is_quantized:
             return self._bind_quantized(op)
         return self._bind_float(op)
 
     # The fast paths below must replicate the exact operation sequence of the
     # corresponding ``Op.execute_*`` methods (ops.py): same casts, same
-    # rounding, same clamp constants — only hoisted to compile time. The
-    # fn_out variants additionally write through the kernels' ``out=``
-    # parameters and apply relu/relu6 epilogues in place; activations without
-    # an in-place form leave fn_out unset (those ops simply stay unmanaged by
-    # the arena).
+    # rounding, same clamp constants — only hoisted to compile time. Each
+    # closure writes through the kernels' ``out=`` parameters when given a
+    # buffer and runs its fused epilogue in place on whatever buffer the
+    # kernel wrote; activations without an in-place form allocate their
+    # result, which keeps that step out of the arena.
 
-    def _bind_float(self, op: Op) -> tuple[Callable, bool, Callable | None]:
+    def _bind_float(self, op: Op) -> tuple[Callable, bool, bool]:
         g = self.graph
         if type(op) is Conv2D:
             pack = K.prepack_conv2d(
@@ -216,81 +209,56 @@ class ExecutionPlan:
             stride = op.attrs["stride"]
             padding = op.attrs["padding"]
             dilation = op.attrs.get("dilation", 1)
-            act = _float_activation(op)
-            def conv_fn(ins, pack=pack, act=act):
-                out = K.conv2d_prepacked(
-                    ins[0], pack, stride=stride, padding=padding, dilation=dilation
+            epi, inplace = _float_act_inplace(op)
+            def conv_fn(ins, out=None, pack=pack, epi=epi):
+                y = K.conv2d_prepacked(
+                    ins[0], pack, stride=stride, padding=padding, dilation=dilation, out=out
                 )
-                return [act(out) if act is not None else out]
-            act_out = _float_act_inplace(op)
-            conv_out = None
-            if act is None or act_out is not None:
-                def conv_out(ins, out, pack=pack, act_out=act_out):
-                    K.conv2d_prepacked(
-                        ins[0], pack, stride=stride, padding=padding, dilation=dilation,
-                        out=out,
-                    )
-                    if act_out is not None:
-                        act_out(out)
-            return conv_fn, True, conv_out
+                return [y if epi is None else epi(y)]
+            return conv_fn, True, inplace
         if type(op) is DepthwiseConv2D:
             pack = K.prepack_depthwise_conv2d(
                 g.params[op.attrs["weight"]], g.params.get(op.attrs.get("bias"))
             )
             stride = op.attrs["stride"]
             padding = op.attrs["padding"]
-            act = _float_activation(op)
-            def dw_fn(ins, pack=pack, act=act):
-                out = K.depthwise_conv2d_prepacked(ins[0], pack, stride=stride, padding=padding)
-                return [act(out) if act is not None else out]
-            act_out = _float_act_inplace(op)
-            dw_out = None
-            if act is None or act_out is not None:
-                def dw_out(ins, out, pack=pack, act_out=act_out):
-                    K.depthwise_conv2d_prepacked(
-                        ins[0], pack, stride=stride, padding=padding, out=out
-                    )
-                    if act_out is not None:
-                        act_out(out)
-            return dw_fn, True, dw_out
+            epi, inplace = _float_act_inplace(op)
+            def dw_fn(ins, out=None, pack=pack, epi=epi):
+                y = K.depthwise_conv2d_prepacked(
+                    ins[0], pack, stride=stride, padding=padding, out=out
+                )
+                return [y if epi is None else epi(y)]
+            return dw_fn, True, inplace
         if type(op) is FullyConnected:
             pack = K.prepack_fully_connected(
                 g.params[op.attrs["weight"]], g.params.get(op.attrs.get("bias"))
             )
-            act = _float_activation(op)
-            def fc_fn(ins, pack=pack, act=act):
-                out = K.fully_connected_prepacked(ins[0], pack)
-                return [act(out) if act is not None else out]
-            act_out = _float_act_inplace(op)
-            fc_out = None
-            if act is None or act_out is not None:
-                def fc_out(ins, out, pack=pack, act_out=act_out):
-                    K.fully_connected_prepacked(ins[0], pack, out=out)
-                    if act_out is not None:
-                        act_out(out)
-            return fc_fn, True, fc_out
+            epi, inplace = _float_act_inplace(op)
+            def fc_fn(ins, out=None, pack=pack, epi=epi):
+                y = K.fully_connected_prepacked(ins[0], pack, out=out)
+                return [y if epi is None else epi(y)]
+            return fc_fn, True, inplace
         if type(op) is Add:
-            act = _float_activation(op)
-            act_out = _float_act_inplace(op)
-            add_out = None
-            if act is None or act_out is not None:
-                def add_out(ins, out, act_out=act_out):
-                    np.add(ins[0], ins[1], out=out)
-                    if act_out is not None:
-                        act_out(out)
-            return (lambda ins, op=op, g=g: op.execute_float(ins, g)), False, add_out
+            epi, inplace = _float_act_inplace(op)
+            def add_fn(ins, out=None, epi=epi):
+                y = np.add(ins[0], ins[1], out=out).astype(np.float32, copy=False)
+                return [y if epi is None else epi(y)]
+            return add_fn, False, inplace
         if type(op) is Activation:
             kind = op.attrs["kind"]
+            act = _FLOAT_INPLACE.get(kind)
+            if act is not None:
+                return (
+                    (lambda ins, out=None, act=act:
+                        [act(ins[0], out).astype(np.float32, copy=False)]),
+                    False,
+                    True,
+                )
             act_fn = ACTIVATION_FUNCTIONS[kind]
-            fn = lambda ins, act_fn=act_fn: [act_fn(ins[0])]  # noqa: E731
-            if kind == "relu":
-                return fn, False, lambda ins, out: np.maximum(ins[0], 0.0, out=out)
-            if kind == "relu6":
-                return fn, False, lambda ins, out: np.clip(ins[0], 0.0, 6.0, out=out)
-            return fn, False, None
-        return (lambda ins, op=op, g=g: op.execute_float(ins, g)), False, None
+            return (lambda ins, out=None, act_fn=act_fn: [act_fn(ins[0])]), False, False
+        return (lambda ins, out=None, op=op, g=g: op.execute_float(ins, g)), False, False
 
-    def _bind_quantized(self, op: Op) -> tuple[Callable, bool, Callable | None]:
+    def _bind_quantized(self, op: Op) -> tuple[Callable, bool, bool]:
         g = self.graph
         if type(op) in (Conv2D, DepthwiseConv2D):
             qparams = _conv_qparams(op, g)
@@ -300,38 +268,28 @@ class ExecutionPlan:
                 bq = g.params.get(op.attrs.get("bias"))
                 stride = op.attrs["stride"]
                 padding = op.attrs["padding"]
-                post = _quantized_conv_post(op, out_qp)
-                post_out = _quantized_conv_post_inplace(op, out_qp)
+                epi = _quantized_conv_post_inplace(op, out_qp)
                 if type(op) is Conv2D:
                     pack = K.prepack_conv2d_quantized(wq, bq, x_qp, w_qp)
                     dilation = op.attrs.get("dilation", 1)
-                    def qconv_fn(ins, pack=pack, post=post):
-                        out = K.conv2d_quantized_prepacked(
-                            ins[0], pack, out_qp,
-                            stride=stride, padding=padding, dilation=dilation,
-                        )
-                        return [post(out) if post is not None else out]
-                    def qconv_out(ins, out, pack=pack, post_out=post_out):
-                        K.conv2d_quantized_prepacked(
+                    def qconv_fn(ins, out=None, pack=pack, epi=epi):
+                        y = K.conv2d_quantized_prepacked(
                             ins[0], pack, out_qp,
                             stride=stride, padding=padding, dilation=dilation, out=out,
                         )
-                        if post_out is not None:
-                            post_out(out)
-                    return qconv_fn, True, qconv_out
+                        if epi is not None:
+                            epi(y)
+                        return [y]
+                    return qconv_fn, True, True
                 pack = K.prepack_depthwise_conv2d_quantized(wq, bq, x_qp, w_qp)
-                def qdw_fn(ins, pack=pack, post=post):
-                    out = K.depthwise_conv2d_quantized_prepacked(
-                        ins[0], pack, out_qp, stride=stride, padding=padding
-                    )
-                    return [post(out) if post is not None else out]
-                def qdw_out(ins, out, pack=pack, post_out=post_out):
-                    K.depthwise_conv2d_quantized_prepacked(
+                def qdw_fn(ins, out=None, pack=pack, epi=epi):
+                    y = K.depthwise_conv2d_quantized_prepacked(
                         ins[0], pack, out_qp, stride=stride, padding=padding, out=out
                     )
-                    if post_out is not None:
-                        post_out(out)
-                return qdw_fn, True, qdw_out
+                    if epi is not None:
+                        epi(y)
+                    return [y]
+                return qdw_fn, True, True
         if type(op) is FullyConnected:
             qparams = _conv_qparams(op, g)
             if qparams is not None:
@@ -345,28 +303,24 @@ class ExecutionPlan:
                     if act is not None
                     else None
                 )
-                def qfc_fn(ins, pack=pack, lut=lut):
-                    out = K.fully_connected_quantized_prepacked(ins[0], pack, out_qp)
+                def qfc_fn(ins, out=None, pack=pack, lut=lut):
+                    y = K.fully_connected_quantized_prepacked(ins[0], pack, out_qp, out=out)
                     if lut is not None:
-                        out = K.apply_quantized_lut(out, lut, out_qp)
-                    return [out]
-                def qfc_out(ins, out, pack=pack, lut=lut):
-                    K.fully_connected_quantized_prepacked(ins[0], pack, out_qp, out=out)
-                    if lut is not None:
-                        K.apply_quantized_lut(out, lut, out_qp, out=out)
-                return qfc_fn, True, qfc_out
+                        K.apply_quantized_lut(y, lut, out_qp, out=y)
+                    return [y]
+                return qfc_fn, True, True
         if type(op) is Activation:
             in_qp = g.spec(op.inputs[0]).qparams
             out_qp = g.spec(op.outputs[0]).qparams
             if in_qp is not None and out_qp is not None:
                 lut = K.quantized_lut(ACTIVATION_FUNCTIONS[op.attrs["kind"]], in_qp, out_qp)
                 return (
-                    (lambda ins, lut=lut, in_qp=in_qp: [K.apply_quantized_lut(ins[0], lut, in_qp)]),
+                    (lambda ins, out=None, lut=lut, in_qp=in_qp:
+                        [K.apply_quantized_lut(ins[0], lut, in_qp, out=out)]),
                     True,
-                    (lambda ins, out, lut=lut, in_qp=in_qp:
-                        K.apply_quantized_lut(ins[0], lut, in_qp, out=out)),
+                    True,
                 )
-        return (lambda ins, op=op, g=g: op.execute_quantized(ins, g)), False, None
+        return (lambda ins, out=None, op=op, g=g: op.execute_quantized(ins, g)), False, False
 
     # -- execution -----------------------------------------------------------
     def run(
@@ -381,13 +335,43 @@ class ExecutionPlan:
         intermediate; it is only valid on FP32 graphs. ``profiler``
         accumulates per-op kernel time, bytes moved and peak live bytes.
         """
-        numerics = self.numerics
-        if observer is not None and numerics != Numerics.FP32:
+        if observer is not None and self.numerics != Numerics.FP32:
             raise ValueError("calibration observers require an FP32 graph")
-        if observer is not None and self.graph is not self.source_graph:
-            # calibration must see every *original* intermediate; rewritten
-            # graphs delegate observer runs to an unoptimized sibling plan
-            return self._unoptimized().run(feeds, observer=observer, profiler=profiler)
+        env = self._feed_env(feeds)
+        self._execute(env, self._no_views, observer, profiler)
+        return self._collect_outputs(env)
+
+    def __call__(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        return self.run(feeds)
+
+    def run_arena(
+        self,
+        feeds: dict[str, np.ndarray],
+        profiler: ExecutionProfiler | None = None,
+    ) -> dict[str, np.ndarray]:
+        """Execute with every managed intermediate written into a static arena.
+
+        The arena of each (thread, batch size) is laid out once by
+        :func:`~repro.graph.arena.plan_arena` — from tensor specs, before
+        anything runs — and materialized as one buffer per dtype class.
+        Every call, the first included, dispatches managed steps into their
+        preallocated views, so the hot path performs no transient output
+        allocations for managed ops. Results are bit-identical to
+        :meth:`run` — same closures, same buffers' contents. Feeds must match
+        the input specs up to the batch size.
+        """
+        env = self._feed_env(feeds)
+        key = (threading.get_ident(), _feed_batch(self.graph, env))
+        with self._arena_lock:
+            state = self._arena_states.get(key)
+        if state is None:
+            state = self._arena_state(key[1])
+            with self._arena_lock:
+                self._arena_states[key] = state
+        self._execute(env, state.views, None, profiler)
+        return self._collect_outputs(env)
+
+    def _feed_env(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         env: dict[str, np.ndarray] = {}
         for name, qp in self._input_prep:
             if name not in feeds:
@@ -396,31 +380,36 @@ class ExecutionPlan:
             if qp is not None:
                 arr = quantize(arr, qp)
             env[name] = arr
+        return env
 
+    def _execute(
+        self,
+        env: dict[str, np.ndarray],
+        views: list[np.ndarray | None],
+        observer: Observer | None,
+        profiler: ExecutionProfiler | None,
+    ) -> None:
+        """The step loop: ``views[i]``, when set, receives step ``i``'s output."""
         live_bytes = 0
         if profiler is not None:
             profiler.runs += 1
             live_bytes = sum(a.nbytes for a in env.values())
             profiler.note_live_bytes(live_bytes)
 
-        for step in self._steps:
+        for step, view in zip(self._steps, views):
             ins = [env[t] for t in step.inputs]
             if profiler is None:
-                outs = step.fn(ins)
+                outs = step.fn(ins, view)
             else:
                 t0 = time.perf_counter()
-                outs = step.fn(ins)
+                outs = step.fn(ins, view)
                 elapsed = time.perf_counter() - t0
                 moved = sum(a.nbytes for a in ins) + sum(a.nbytes for a in outs)
                 profiler.record(step.name, step.op_type, elapsed, moved)
-            if observer is None:
-                for t, arr in zip(step.outputs, outs):
-                    env[t] = arr
-            else:
-                for t, arr in zip(step.outputs, outs):
-                    env[t] = arr
-                    if np.issubdtype(arr.dtype, np.floating):
-                        observer(t, arr)
+            for t, arr in zip(step.outputs, outs):
+                env[t] = arr
+                if observer is not None and np.issubdtype(arr.dtype, np.floating):
+                    observer(t, arr)
             if profiler is not None:
                 live_bytes += sum(env[t].nbytes for t in step.outputs)
                 for t in step.release:
@@ -431,141 +420,22 @@ class ExecutionPlan:
                 for t in step.release:
                     del env[t]
 
-        results = {}
-        for name in self.graph.output_names:
-            arr = env[name]
-            qp = self._output_qp[name]
-            if (
-                numerics.is_quantized
-                and qp is not None
-                and not np.issubdtype(arr.dtype, np.floating)
-            ):
-                arr = dequantize(arr, qp)
-            results[name] = arr
-        return results
-
-    def __call__(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return self.run(feeds)
-
-    def _unoptimized(self) -> "ExecutionPlan":
-        if self._observer_plan is None:
-            self._observer_plan = ExecutionPlan(
-                self.source_graph, liveness=self.liveness, optimize=False
-            )
-        return self._observer_plan
-
-    # -- arena execution -----------------------------------------------------
-    def run_arena(
-        self,
-        feeds: dict[str, np.ndarray],
-        profiler: ExecutionProfiler | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Execute with every managed intermediate written into a static arena.
-
-        The first call per (thread, input-shape signature) is a *recording*
-        run through the ordinary allocating closures; it captures each
-        managed tensor's concrete dtype/shape, plans the arena layout
-        (:mod:`repro.graph.arena`) and materializes one buffer per dtype
-        class. Subsequent calls dispatch ``fn_out`` into preallocated views,
-        so the steady-state hot path performs zero transient output
-        allocations for managed ops. Results are bit-identical to
-        :meth:`run` — same closures, same buffers' contents.
-        """
-        env: dict[str, np.ndarray] = {}
-        for name, qp in self._input_prep:
-            if name not in feeds:
-                raise KeyError(f"missing feed for input {name!r}")
-            arr = np.asarray(feeds[name])
-            if qp is not None:
-                arr = quantize(arr, qp)
-            env[name] = arr
-
-        key = (threading.get_ident(),) + tuple(
-            (name, env[name].shape, env[name].dtype.str) for name, _ in self._input_prep
-        )
-        with self._arena_lock:
-            state = self._arena_states.get(key)
-        if state is None:
-            state, results = self._record_arena(env, profiler)
-            with self._arena_lock:
-                self._arena_states[key] = state
-            return results
-
-        for step, view in zip(self._steps, state.views):
-            ins = [env[t] for t in step.inputs]
-            t0 = time.perf_counter() if profiler is not None else 0.0
-            if view is not None:
-                step.fn_out(ins, view)
-                env[step.outputs[0]] = view
-                outs = (view,)
-            else:
-                outs = step.fn(ins)
-                for t, arr in zip(step.outputs, outs):
-                    env[t] = arr
-            if profiler is not None:
-                elapsed = time.perf_counter() - t0
-                moved = sum(a.nbytes for a in ins) + sum(a.nbytes for a in outs)
-                profiler.record(step.name, step.op_type, elapsed, moved)
-            for t in step.release:
-                del env[t]
-        return self._collect_outputs(env)
-
-    def _record_arena(
-        self, env: dict[str, np.ndarray], profiler: ExecutionProfiler | None
-    ) -> "tuple[_ArenaState, dict[str, np.ndarray]]":
-        """Allocating first run: executes, records shapes, plans the layout.
-
-        Alias detection is empirical here — any step output that shares
-        memory with one of its inputs (reshape views etc.) folds its
-        lifetime into the source tensor's, and a source whose alias escapes
-        as a graph output is left unmanaged entirely.
-        """
-        protected = set(self.graph.output_names)
-        root: dict[str, str] = {}
-        candidates: dict[str, tuple[int, np.ndarray]] = {}
-        for i, step in enumerate(self._steps):
-            ins = [env[t] for t in step.inputs]
-            outs = step.fn(ins)
-            for t, arr in zip(step.outputs, outs):
-                env[t] = arr
-                for t_in in step.inputs:
-                    if np.may_share_memory(arr, env[t_in]):
-                        root[t] = root.get(t_in, t_in)
-                        break
-            if (
-                step.fn_out is not None
-                and len(step.outputs) == 1
-                and step.outputs[0] not in protected
-            ):
-                candidates[step.outputs[0]] = (i, outs[0])
-            if profiler is not None:
-                profiler.record(step.name, step.op_type, 0.0, 0)
-        last_use, escaped = effective_liveness(self._steps, protected, root)
-        records: list[TensorRecord] = []
-        specs: dict[str, tuple] = {}
-        for t, (i, arr) in candidates.items():
-            if t in escaped or t not in last_use:
-                continue
-            records.append(
-                TensorRecord(t, int(arr.nbytes), i, last_use[t], key=arr.dtype.str)
-            )
-            specs[t] = (arr.dtype, arr.shape)
-        layout = plan_layout(records)
+    def _arena_state(self, batch: int) -> "_ArenaState":
+        """Buffers and per-step output views for ``plan_arena(self, batch)``."""
+        g = self.graph
+        layout = plan_arena(self, batch)
         buffers = {
             k: np.empty(nbytes, dtype=np.uint8) for k, nbytes in layout.arena_bytes.items()
         }
         views: list[np.ndarray | None] = []
         for step in self._steps:
-            slot = layout.slots.get(step.outputs[0]) if len(step.outputs) == 1 else None
+            slot = layout.slots.get(step.outputs[0])
             if slot is None:
                 views.append(None)
                 continue
-            dtype, shape = specs[step.outputs[0]]
-            view = buffers[slot.key][slot.offset : slot.offset + slot.nbytes]
-            views.append(view.view(dtype).reshape(shape))
-        state = _ArenaState(layout=layout, buffers=buffers, views=views)
-        results = self._collect_outputs(env)
-        return state, results
+            view = buffers[slot.key][slot.offset : slot.end].view(_spec_dtype(g, slot.name))
+            views.append(view.reshape(g.spec(slot.name).with_batch(batch)))
+        return _ArenaState(layout=layout, buffers=buffers, views=views)
 
     def _collect_outputs(self, env: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         results = {}
@@ -601,20 +471,13 @@ class ExecutionPlan:
             "numerics": self.numerics.value,
             "ops": len(self._steps),
             "prepacked_ops": self.num_prepacked,
-            "liveness": self.liveness,
             "released_tensors": sum(len(s.release) for s in self._steps),
-            "optimize": {
-                "total": self.optimize_stats["total"],
-                "passes": {
-                    k: v for k, v in self.optimize_stats.get("passes", {}).items() if v
-                },
-            },
             "arena": self.arena_layout(batch=1).describe(),
         }
 
 
 class _ArenaState:
-    """Per-(thread, input-signature) arena buffers and per-step output views."""
+    """Per-(thread, batch) arena buffers and per-step output views."""
 
     __slots__ = ("layout", "buffers", "views")
 
@@ -629,29 +492,53 @@ class _ArenaState:
         self.views = views
 
 
+def _feed_batch(graph: Graph, env: dict[str, np.ndarray]) -> int:
+    """The batch size of a feed set; every feed must match its spec at it."""
+    batch = 1
+    for spec in graph.inputs:
+        if -1 in spec.shape and env[spec.name].ndim == len(spec.shape):
+            batch = env[spec.name].shape[spec.shape.index(-1)]
+            break
+    for spec in graph.inputs:
+        if env[spec.name].shape != spec.with_batch(batch):
+            raise ValueError(
+                f"feed {spec.name!r} has shape {env[spec.name].shape}, which does not "
+                f"match its spec {spec.shape} at batch {batch}"
+            )
+    return batch
+
+
 def _fp16_wrap(fn: Callable) -> Callable:
     """Round every float op output through IEEE half, as the legacy loop did."""
-    def wrapped(ins):
+    def wrapped(ins, out=None):
         return [
             cast_fp16(o) if np.issubdtype(o.dtype, np.floating) else o for o in fn(ins)
         ]
     return wrapped
 
 
-def _float_activation(op: Op):
-    act = op.attrs.get("activation")
-    return ACTIVATION_FUNCTIONS[act] if act is not None else None
+# float activations with an in-place form: ``act(x, out)`` writes into ``out``
+# (allocating when it is None) with the same values as ACTIVATION_FUNCTIONS
+_FLOAT_INPLACE = {
+    "relu": lambda x, out=None: np.maximum(x, 0.0, out=out),
+    "relu6": lambda x, out=None: np.clip(x, 0.0, 6.0, out=out),
+}
 
 
 def _float_act_inplace(op: Op):
-    """In-place form of a fused float activation, or None when no such form
-    exists (sigmoid etc. — those ops stay unmanaged by the arena)."""
+    """The fused float activation epilogue of ``op`` as ``(epi, inplace)``.
+
+    ``epi(y)`` returns the activated result (None: no activation). relu and
+    relu6 overwrite ``y`` in place, so the step may write into the arena;
+    other activations allocate their result and keep the step out of it.
+    """
     act = op.attrs.get("activation")
-    if act == "relu":
-        return lambda out: np.maximum(out, 0.0, out=out)
-    if act == "relu6":
-        return lambda out: np.clip(out, 0.0, 6.0, out=out)
-    return None
+    if act is None:
+        return None, True
+    inplace = _FLOAT_INPLACE.get(act)
+    if inplace is None:
+        return ACTIVATION_FUNCTIONS[act], False
+    return (lambda y: inplace(y, y)), True
 
 
 def _conv_qparams(op: Op, g: Graph):
@@ -664,32 +551,14 @@ def _conv_qparams(op: Op, g: Graph):
     return x_qp, w_qp, out_qp
 
 
-def _quantized_conv_post(op: Op, out_qp):
-    """Compile the integer-domain activation epilogue of a quantized conv."""
+def _quantized_conv_post_inplace(op: Op, out_qp):
+    """The integer-domain activation epilogue of a quantized conv, applied in
+    place to the kernel's codes (which already carry the output dtype)."""
     act = op.attrs.get("activation")
     if act is None:
         return None
     if act in ("relu", "relu6"):
         # clamp in the integer domain at the quantized representation of 0/6
-        zp = int(out_qp.zero_point[0])
-        lo = zp
-        hi = out_qp.numerics.qmax
-        if act == "relu6":
-            hi = min(hi, int(round(6.0 / float(out_qp.scale[0])) + zp))
-        dtype = out_qp.numerics.np_dtype
-        return lambda out: np.clip(out, lo, hi).astype(dtype)
-    lut = K.quantized_lut(ACTIVATION_FUNCTIONS[act], out_qp, out_qp)
-    return lambda out: K.apply_quantized_lut(out, lut, out_qp)
-
-
-def _quantized_conv_post_inplace(op: Op, out_qp):
-    """In-place variant of :func:`_quantized_conv_post` — identical clamp
-    constants / LUT, but writing back into the caller's buffer. The buffer
-    already carries the output dtype, so the clip's astype is a no-op."""
-    act = op.attrs.get("activation")
-    if act is None:
-        return None
-    if act in ("relu", "relu6"):
         zp = int(out_qp.zero_point[0])
         lo = zp
         hi = out_qp.numerics.qmax

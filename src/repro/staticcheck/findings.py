@@ -117,7 +117,7 @@ RULE_CATALOG: dict[str, Rule] = {r.rule_id: r for r in [
     Rule("PL003", _E, "plan", "unbound dispatch",
          "every planned step carries a callable kernel closure"),
     Rule("PL004", _W, "plan", "leaked intermediate",
-         "liveness-enabled plans release every non-output intermediate"),
+         "plans release every non-output intermediate after its last read"),
     Rule("PL005", _E, "plan", "graph output released",
          "no declared graph output is ever freed by the schedule"),
     Rule("PL006", _E, "plan", "read of undefined tensor",

@@ -143,15 +143,14 @@ def check_plan(plan: ExecutionPlan) -> list[Finding]:
             released[t] = i
             defined.discard(t)
 
-    if plan.liveness:
-        for t in sorted(ever_defined):
-            if t in outputs or t in released:
-                continue
-            if t not in last_read:
-                continue  # never consumed: a dataflow problem (DF001), not liveness
-            out.append(Finding(
-                "PL004", gname, tensor=t,
-                message=f"tensor {t!r} is consumed (last at step {last_read[t]}) "
-                        f"but never released; it stays resident for the whole run"))
+    for t in sorted(ever_defined):
+        if t in outputs or t in released:
+            continue
+        if t not in last_read:
+            continue  # never consumed: a dataflow problem (DF001), not liveness
+        out.append(Finding(
+            "PL004", gname, tensor=t,
+            message=f"tensor {t!r} is consumed (last at step {last_read[t]}) "
+                    f"but never released; it stays resident for the whole run"))
     out.extend(check_arena_layout(plan))
     return out

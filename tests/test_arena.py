@@ -13,6 +13,7 @@ from repro.graph.arena import (
     alias_roots,
     effective_liveness,
     graph_arena_bytes,
+    plan_arena,
     plan_layout,
 )
 from repro.kernels import Numerics
@@ -158,15 +159,15 @@ class TestAliasLiveness:
 
 
 class TestRunArenaParity:
-    def test_toy_parity_recording_and_steady(self, toy_exported, toy_inputs):
+    def test_toy_parity_first_and_steady(self, toy_exported, toy_inputs):
         exported, _ = toy_exported
         plan = ExecutionPlan(exported)
         ref = Executor(exported).run_unplanned(toy_inputs)
-        recording = plan.run_arena(toy_inputs)
+        first = plan.run_arena(toy_inputs)
         steady_1 = plan.run_arena(toy_inputs)
         steady_2 = plan.run_arena(toy_inputs)
         for name in ref:
-            np.testing.assert_array_equal(ref[name], recording[name])
+            np.testing.assert_array_equal(ref[name], first[name])
             np.testing.assert_array_equal(ref[name], steady_1[name])
             np.testing.assert_array_equal(ref[name], steady_2[name])
 
@@ -176,18 +177,39 @@ class TestRunArenaParity:
         q = quantize_graph(exported, stats, Numerics.INT8)
         plan = ExecutionPlan(q)
         ref = plan.run(toy_inputs)
-        plan.run_arena(toy_inputs)
-        steady = plan.run_arena(toy_inputs)
+        for _ in range(2):
+            got = plan.run_arena(toy_inputs)
+            for name in ref:
+                np.testing.assert_array_equal(ref[name], got[name])
+                assert ref[name].dtype == got[name].dtype
+
+    @pytest.mark.parametrize("batch", [32, 7], ids=["full", "ragged_tail"])
+    def test_executed_state_is_static_layout(self, cls_exported, batch):
+        """The arena that executes is plan_arena's layout — no second one."""
+        rng = np.random.default_rng(3)
+        spec = cls_exported.inputs[0]
+        feeds = {spec.name: rng.normal(0, 0.5, spec.with_batch(batch)).astype(np.float32)}
+        q = quantize_graph(cls_exported, calibrate(cls_exported, [feeds]), Numerics.INT8)
+        plan = ExecutionPlan(q)
+        got = plan.run_arena(feeds)
+        (state,) = plan._arena_states.values()
+        assert state.layout.slots == plan_arena(plan, batch).slots
+        assert state.layout.arena_bytes == plan_arena(plan, batch).arena_bytes
+        ref = plan.run(feeds)
         for name in ref:
-            np.testing.assert_array_equal(ref[name], steady[name])
-            assert ref[name].dtype == steady[name].dtype
+            np.testing.assert_array_equal(ref[name], got[name])
+
+    def test_feed_off_spec_rejected(self, toy_exported, toy_inputs):
+        exported, _ = toy_exported
+        wrong = {"images": toy_inputs["images"][:, :8]}
+        with pytest.raises(ValueError, match="does not match its spec"):
+            ExecutionPlan(exported).run_arena(wrong)
 
     def test_results_survive_next_run(self, toy_exported, toy_inputs):
         """Returned outputs must not alias arena bytes: a later run with
         different data cannot clobber an earlier run's results."""
         exported, out = toy_exported
         plan = ExecutionPlan(exported)
-        plan.run_arena(toy_inputs)  # recording
         first = plan.run_arena(toy_inputs)
         saved = {k: v.copy() for k, v in first.items()}
         other = {"images": toy_inputs["images"] * -1.0}
@@ -239,11 +261,13 @@ class TestStaticArena:
         layout = ExecutionPlan(cls_exported).arena_layout()
         assert layout.reuse_ratio >= 3.0  # ISSUE acceptance floor
 
-    def test_describe_includes_arena_and_optimize(self, toy_exported):
+    def test_describe_includes_arena(self, toy_exported):
         exported, _ = toy_exported
         d = ExecutionPlan(exported).describe()
+        assert set(d) == {
+            "graph", "numerics", "ops", "prepacked_ops", "released_tensors", "arena",
+        }
         assert {"tensors", "peak_bytes", "reuse_ratio"} <= set(d["arena"])
-        assert {"total", "passes"} <= set(d["optimize"])
 
     def test_batch_scales_footprint(self, cls_exported):
         plan = ExecutionPlan(cls_exported)
@@ -259,18 +283,18 @@ class TestStaticArena:
 
     def test_fp16_plans_manage_nothing(self, toy_exported, toy_inputs):
         """Per-op half rounding is incompatible with in-place writes, so the
-        FP16 path must keep every fn_out unset and the arena empty."""
+        FP16 path must mark no step for the arena and leave it empty."""
         from repro.quantization import convert_fp16
 
         exported, _ = toy_exported
         plan = ExecutionPlan(convert_fp16(exported))
-        assert all(s.fn_out is None for s in plan._steps)
+        assert not any(s.arena for s in plan._steps)
         assert plan.arena_layout().slots == {}
-        ref = Executor(plan.source_graph).run_unplanned(toy_inputs)
-        plan.run_arena(toy_inputs)
-        got = plan.run_arena(toy_inputs)
-        for name in ref:
-            np.testing.assert_array_equal(ref[name], got[name])
+        ref = Executor(plan.graph).run_unplanned(toy_inputs)
+        for _ in range(2):
+            got = plan.run_arena(toy_inputs)
+            for name in ref:
+                np.testing.assert_array_equal(ref[name], got[name])
 
 
 class TestFast1x1:
@@ -300,20 +324,22 @@ class TestFast1x1:
 
 class TestSUTArenaReuse:
     def test_accuracy_sut_arena_matches_generic(self, cls_exported, cls_dataset):
-        settings = TestSettings(mode=Mode.ACCURACY)
-        log_arena = LoadGenerator(settings).run(
-            AccuracySUT(cls_exported, cls_dataset, use_arena=True),
-            QuerySampleLibrary(cls_dataset),
+        """The arena-backed SUT scores exactly what allocating runs of the
+        same queries score."""
+        sut = AccuracySUT(cls_exported, cls_dataset)
+        log = LoadGenerator(TestSettings(mode=Mode.ACCURACY)).run(
+            sut, QuerySampleLibrary(cls_dataset)
         )
-        log_plain = LoadGenerator(settings).run(
-            AccuracySUT(cls_exported, cls_dataset, use_arena=False),
-            QuerySampleLibrary(cls_dataset),
-        )
-        # sequence-identical logs: same query order, same per-sample results
-        assert [tuple(r.sample_indices) for r in log_arena.records] == [
-            tuple(r.sample_indices) for r in log_plain.records
-        ]
-        assert log_arena.accuracy == log_plain.accuracy
+        executor = Executor(cls_exported)
+        predictions = {}
+        for record in log.records:
+            indices = np.asarray(record.sample_indices)
+            outputs = executor.run(cls_dataset.input_batch(indices))
+            for j, i in enumerate(indices):
+                per_sample = {k: v[j] for k, v in outputs.items()}
+                predictions[int(i)] = cls_dataset.postprocess(per_sample, int(i))
+        assert predictions.keys() == sut.predictions.keys()
+        assert log.accuracy == cls_dataset.evaluate(predictions)
 
     def test_accuracy_sut_reuses_one_arena_state(self, cls_exported, cls_dataset):
         sut = AccuracySUT(cls_exported, cls_dataset)
@@ -324,6 +350,19 @@ class TestSUTArenaReuse:
         # one state per distinct batch shape (full chunks + the tail), not
         # one per issued batch
         assert 1 <= len(states) <= 2
+
+    def test_accuracy_sut_sets_heap_policy(self, cls_exported, cls_dataset, monkeypatch):
+        """An accuracy run keeps kernel workspaces below 8 MiB on the heap and
+        trims only above 64 MiB of free top, so steady queries do not fault."""
+        from repro.loadgen import sut as sut_module
+
+        calls = []
+        monkeypatch.setattr(sut_module, "_mallopt", lambda param, value: calls.append((param, value)))
+        AccuracySUT(cls_exported, cls_dataset).close()
+        assert calls == [
+            (sut_module._M_MMAP_THRESHOLD, 8 << 20),
+            (sut_module._M_TRIM_THRESHOLD, 64 << 20),
+        ]
 
     def test_performance_sut_memoizes_offline_throughput(self, perf_sut):
         r1 = perf_sut.run_offline(1024, batch=128)

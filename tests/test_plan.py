@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph import ExecutionPlan, ExecutionProfiler, Executor, export_mobile
+from repro.graph.arena import ALIAS_OP_TYPES, plan_arena
 from repro.kernels import Numerics
 from repro.loadgen.qsl import QuerySampleLibrary
 from repro.datasets.base import IndexDataset
@@ -49,6 +50,17 @@ def _deployment(exported, stats, numerics):
     return quantize_graph(exported, stats, numerics)
 
 
+def _walk_steps(plan, feeds):
+    """Run ``plan``'s allocating closures one by one, yielding every step
+    with its input and output arrays (the inputs are still live)."""
+    env = plan._feed_env(feeds)
+    for step in plan._steps:
+        ins = [env[t] for t in step.inputs]
+        outs = step.fn(ins)
+        yield step, ins, outs
+        env.update(zip(step.outputs, outs))
+
+
 class TestBitExactness:
     @pytest.mark.parametrize("numerics", NUMERICS_MODES, ids=lambda n: n.value)
     def test_plan_matches_legacy_executor(self, zoo_artifacts, numerics):
@@ -62,6 +74,43 @@ class TestBitExactness:
         for name in legacy:
             np.testing.assert_array_equal(legacy[name], planned[name])
             assert legacy[name].dtype == planned[name].dtype
+
+    @pytest.mark.parametrize("numerics", NUMERICS_MODES, ids=lambda n: n.value)
+    def test_arena_matches_legacy_executor(self, zoo_artifacts, numerics):
+        """Arena execution == legacy interpreting loop, bit for bit: the first
+        call and two steady calls, so buffer reuse across calls is covered."""
+        exported, feeds, stats = zoo_artifacts
+        graph = _deployment(exported, stats, numerics)
+        legacy = Executor(graph).run_unplanned(feeds)
+        plan = ExecutionPlan(graph)
+        for _ in range(3):
+            got = plan.run_arena(feeds)
+            assert legacy.keys() == got.keys()
+            for name in legacy:
+                np.testing.assert_array_equal(legacy[name], got[name])
+                assert legacy[name].dtype == got[name].dtype
+
+    @pytest.mark.parametrize("numerics", NUMERICS_MODES, ids=lambda n: n.value)
+    def test_only_alias_ops_share_memory(self, zoo_artifacts, numerics):
+        """ALIAS_OP_TYPES is the whole alias rule: no other step's output may
+        share memory with its inputs. And every arena slot planned from specs
+        holds exactly the bytes, shape and dtype its step produces."""
+        exported, feeds, stats = zoo_artifacts
+        plan = ExecutionPlan(_deployment(exported, stats, numerics))
+        batch = next(iter(feeds.values())).shape[0]
+        slots = plan_arena(plan, batch).slots
+        placed = set()
+        for step, ins, outs in _walk_steps(plan, feeds):
+            if step.op_type not in ALIAS_OP_TYPES:
+                for out in outs:
+                    assert not any(np.may_share_memory(out, x) for x in ins), step.name
+            slot = slots.get(step.outputs[0])
+            if slot is not None:
+                placed.add(slot.name)
+                assert outs[0].nbytes == slot.nbytes, slot.name
+                assert outs[0].shape == plan.graph.spec(slot.name).with_batch(batch)
+                assert slot.key == str(outs[0].dtype)
+        assert placed == set(slots)
 
     def test_repeated_runs_deterministic(self, zoo_artifacts):
         exported, feeds, _ = zoo_artifacts
@@ -96,6 +145,15 @@ class TestPlanCompilation:
         assert plan_b is not plan_a
         after = plan_b.run(toy_inputs)[out]
         assert not np.array_equal(before, after)
+        # a double replacement frees the first new array before the second
+        # is made, so the second may reuse its id: the cache must still see it
+        exported.params[w_name] = exported.params[w_name] * 2.0
+        exported.params[w_name] = exported.params[w_name] * 3.0
+        plan_c = ExecutionPlan.for_graph(exported)
+        assert plan_c is not plan_b
+        np.testing.assert_array_equal(
+            plan_c.run(toy_inputs)[out], Executor(exported).run_unplanned(toy_inputs)[out]
+        )
 
     def test_integer_kernels_prepacked(self, toy_exported, toy_inputs):
         exported, _ = toy_exported
@@ -127,13 +185,13 @@ class TestLiveness:
         rng = np.random.default_rng(0)
         shape = tuple(4 if d == -1 else d for d in cls_exported.inputs[0].shape)
         feeds = {"images": rng.normal(0, 0.5, shape).astype(np.float32)}
-        prof_live = ExecutionProfiler()
-        ExecutionPlan(cls_exported, liveness=True).run(feeds, profiler=prof_live)
-        prof_keep = ExecutionProfiler()
-        ExecutionPlan(cls_exported, liveness=False).run(feeds, profiler=prof_keep)
-        assert prof_live.peak_live_bytes < prof_keep.peak_live_bytes
-        # the unplanned executor retains everything: same peak as liveness=False
-        assert prof_live.peak_live_bytes < 0.6 * prof_keep.peak_live_bytes
+        prof = ExecutionProfiler()
+        ExecutionPlan(cls_exported).run(feeds, profiler=prof)
+        # the unplanned executor retains everything: its footprint is the sum
+        # of every input and op output it produces
+        resident = []
+        Executor(cls_exported).run_unplanned(feeds, tap=lambda n, v: resident.append(v.nbytes))
+        assert prof.peak_live_bytes < 0.6 * sum(resident)
 
     def test_outputs_never_released(self, toy_exported, toy_inputs):
         exported, out = toy_exported
